@@ -9,8 +9,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"repro/internal/agas"
 	"repro/internal/parcel"
@@ -75,7 +77,9 @@ func main() {
 	remote := parcel.InvokeAsync[int, int64](cli, "fib", 29)
 	local := taskrt.AsyncF(driverRT, func() int64 { return fibOn(driverRT, 28) })
 
-	rv, err := remote.Get()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rv, err := remote.GetContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

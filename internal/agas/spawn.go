@@ -97,10 +97,11 @@ func (r *Resolver) meters() *remoteMeters {
 // binding to place work on it — *parcel.Client provides it. A remote
 // bound with a provider lacking it simply never receives spawns.
 type ActionSpawner interface {
-	// SpawnAction launches (or dedupes into) the spawn under key.
-	SpawnAction(ctx context.Context, action string, arg json.RawMessage, key string) (parcel.SpawnStatus, error)
-	// WaitSpawn waits for the spawn's terminal state.
-	WaitSpawn(ctx context.Context, key string) (parcel.SpawnStatus, error)
+	// SpawnWait launches (or dedupes into) the spawn under key and waits
+	// for its terminal state. An error means the spawn op itself failed,
+	// leaving execution ambiguous unless the error proves otherwise, or
+	// that ctx ended first.
+	SpawnWait(ctx context.Context, action string, arg json.RawMessage, key string) (parcel.SpawnStatus, error)
 	// CancelSpawn abandons the spawn best-effort.
 	CancelSpawn(ctx context.Context, key string) error
 }
@@ -247,14 +248,16 @@ func (r *Resolver) spawnOn(ctx context.Context, m *remoteMeters, id int64, sp Ac
 		if err := ctx.Err(); err != nil {
 			return nil, err, false
 		}
-		st, err := sp.SpawnAction(ctx, action, arg, key)
+		st, err := sp.SpawnWait(ctx, action, arg, key)
 		if err != nil {
+			if ctx.Err() != nil {
+				// ctx ended; if it ended mid-wait, SpawnWait already sent
+				// the remote cancel best-effort.
+				return nil, ctx.Err(), false
+			}
 			r.recordHealth(id, err, false)
 			if redirectable(err) {
 				return nil, err, true
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err(), false
 			}
 			// Ambiguous: the spawn op may or may not have landed.
 			// Re-issuing the same key is exactly-once either way.
@@ -263,19 +266,8 @@ func (r *Resolver) spawnOn(ctx context.Context, m *remoteMeters, id int64, sp Ac
 			continue
 		}
 		r.recordHealth(id, nil, false)
-		if !st.Done {
-			st, err = sp.WaitSpawn(ctx, key)
-			if err != nil {
-				// ctx ended mid-wait; WaitSpawn already sent the remote
-				// cancel best-effort.
-				return nil, err, false
-			}
-		}
 		if st.Err != nil {
-			if redirectable(st.Err) {
-				return nil, st.Err, true
-			}
-			return nil, st.Err, false
+			return nil, st.Err, redirectable(st.Err)
 		}
 		return st.Result, nil, false
 	}
@@ -307,17 +299,6 @@ func (f *SpawnFuture[R]) GetContext(ctx context.Context) (R, error) {
 	}
 }
 
-// Get waits for the result.
-//
-// Deprecated: Get blocks unboundedly even when the caller holds a
-// deadline; prefer GetContext. It remains safe — the router never
-// leaves a future unresolved, even with every replica partitioned —
-// but GetContext makes the bound explicit at the wait site.
-func (f *SpawnFuture[R]) Get() (R, error) {
-	<-f.done
-	return f.value, f.err
-}
-
 // Err waits for the future and reports how it completed: nil, a typed
 // action failure (*parcel.ActionError, parcel.ErrActionUnknown), a
 // cancellation (context errors, parcel.ErrSpawnCancelled, ErrNoReplica)
@@ -327,7 +308,7 @@ func (f *SpawnFuture[R]) Err() error {
 	return f.err
 }
 
-// Ready reports whether Get would not block.
+// Ready reports whether GetContext would not block.
 func (f *SpawnFuture[R]) Ready() bool {
 	select {
 	case <-f.done:

@@ -97,7 +97,7 @@ func TestSpawnRemoteRoutesAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := SpawnRemote[int, int](r, "echo", 7)
-	v, err := f.Get()
+	v, err := f.GetContext(context.Background())
 	if err != nil || v != 7 {
 		t.Fatalf("echo = %d, %v", v, err)
 	}
@@ -126,7 +126,7 @@ func TestSpawnRemoteRedirectsOffMissingAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := SpawnRemote[int, int](r, "echo", 11)
-	v, err := f.Get()
+	v, err := f.GetContext(context.Background())
 	if err != nil || v != 11 {
 		t.Fatalf("echo = %d, %v", v, err)
 	}
@@ -198,7 +198,7 @@ func TestSpawnRemoteRetriesSameReplicaOnAmbiguousFault(t *testing.T) {
 	}
 	rep.inj.ForceDrop(1)
 	f := SpawnRemote[struct{}, int](r, "once", struct{}{})
-	v, err := f.Get()
+	v, err := f.GetContext(context.Background())
 	if err != nil || v != 1 {
 		t.Fatalf("once = %d, %v (want exactly-once)", v, err)
 	}

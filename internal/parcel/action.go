@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -191,7 +190,7 @@ func (c *Client) InvokeContext(ctx context.Context, action string, arg any, out 
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) {
-			return c.actionErr(action, resp.Code, se.Msg)
+			return c.spawnErr(action, resp.Code, se.Msg)
 		}
 		return err
 	}
@@ -201,39 +200,11 @@ func (c *Client) InvokeContext(ctx context.Context, action string, arg any, out 
 	return nil
 }
 
-// actionErr types a server-reported invoke failure, preferring the
-// wire's machine-readable code and falling back to the legacy message
-// shape for servers predating the Code field.
-func (c *Client) actionErr(action, code, msg string) error {
-	if code == "" {
-		// Legacy server: classify by the historical message prefixes.
-		switch {
-		case strings.Contains(msg, "unknown action"), strings.Contains(msg, "no actions"):
-			code = codeActionUnknown
-		default:
-			code = codeActionError
-		}
-	}
-	return c.spawnErr(action, code, msg)
-}
-
 // RemoteFuture carries an in-flight remote invocation.
 type RemoteFuture[R any] struct {
 	done  chan struct{}
 	value R
 	err   error
-}
-
-// Get waits for the remote result.
-//
-// Deprecated: Get blocks unboundedly even when the caller holds a
-// deadline; use GetContext so an abandoned wait is always bounded. Get
-// remains safe on futures whose launch context carried a deadline (the
-// future resolves when the deadline lapses), but GetContext makes the
-// bound explicit at the wait site.
-func (f *RemoteFuture[R]) Get() (R, error) {
-	<-f.done
-	return f.value, f.err
 }
 
 // GetContext waits for the remote result until ctx is done, whichever
@@ -258,7 +229,7 @@ func (f *RemoteFuture[R]) Err() error {
 	return f.err
 }
 
-// Ready reports whether Get would not block.
+// Ready reports whether GetContext would not block.
 func (f *RemoteFuture[R]) Ready() bool {
 	select {
 	case <-f.done:
@@ -275,7 +246,7 @@ func InvokeAsync[A, R any](c *Client, action string, arg A) *RemoteFuture[R] {
 }
 
 // InvokeAsyncContext is InvokeAsync under a caller deadline: the
-// future's Get reports ctx's error if the deadline lapses before the
+// future reports ctx's error if the deadline lapses before the
 // remote result arrives.
 func InvokeAsyncContext[A, R any](ctx context.Context, c *Client, action string, arg A) *RemoteFuture[R] {
 	f := &RemoteFuture[R]{done: make(chan struct{})}

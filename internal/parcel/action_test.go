@@ -1,11 +1,15 @@
 package parcel
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -72,12 +76,12 @@ func TestInvokeAsyncFuture(t *testing.T) {
 		fs[i] = InvokeAsync[int, int](cli, "square", i)
 	}
 	for i, f := range fs {
-		v, err := f.Get()
+		v, err := f.GetContext(context.Background())
 		if err != nil || v != i*i {
 			t.Fatalf("square(%d) = %d, %v", i, v, err)
 		}
 		if !f.Ready() {
-			t.Fatal("not ready after Get")
+			t.Fatal("not ready after GetContext")
 		}
 	}
 }
@@ -163,21 +167,42 @@ func TestConcurrentInvocations(t *testing.T) {
 }
 
 func TestServerSurvivesGarbage(t *testing.T) {
-	// A malformed request line yields an error response, not a dead
-	// server.
-	_, cli := newActionFixture(t)
-	cli.mu.Lock()
-	if _, err := cli.conn.Write([]byte("this is not json\n")); err != nil {
-		cli.mu.Unlock()
+	// A malformed frame yields an error answer under its id (under id 0
+	// when it carries none), not a dead connection handler.
+	reg := core.NewRegistry()
+	srv, err := Serve("127.0.0.1:0", reg, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	line, err := cli.rd.ReadBytes('\n')
-	cli.mu.Unlock()
-	if err != nil || !strings.Contains(string(line), "malformed") {
-		t.Fatalf("garbage handling: %q %v", line, err)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	rd := bufio.NewReader(conn)
+	for _, c := range []struct {
+		frame string
+		id    uint64
+	}{{"this is not json 7\n", 7}, {"this is not json\n", 0}} {
+		if _, err := conn.Write([]byte(c.frame)); err != nil {
+			t.Fatal(err)
+		}
+		line, err := rd.ReadBytes('\n')
+		body, id, ok := splitFrame(line)
+		if err != nil || !ok || id != c.id || !strings.Contains(string(body), "malformed") {
+			t.Fatalf("garbage %q answered %q (id %d), %v", c.frame, line, id, err)
+		}
 	}
 	// The connection keeps working.
-	if _, err := cli.Types(); err != nil {
-		t.Fatalf("connection dead after garbage: %v", err)
+	if _, err := conn.Write([]byte(`{"op":"types"} 8` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	line, err := rd.ReadBytes('\n')
+	body, id, _ := splitFrame(line)
+	var resp response
+	if err != nil || id != 8 || json.Unmarshal(body, &resp) != nil || resp.Error != "" {
+		t.Fatalf("connection dead after garbage: %q, %v", line, err)
 	}
 }

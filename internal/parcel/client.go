@@ -2,18 +2,19 @@ package parcel
 
 // The fault-tolerant client side of the parcel transport. Every remote
 // call runs under a deadline (context and/or per-attempt timeout), the
-// single TCP connection is re-established transparently after a
-// failure, idempotent requests are retried with exponential backoff and
-// jitter, a circuit breaker fast-fails a persistently dead endpoint,
-// and — when enabled — Evaluate serves last-known values tagged
-// core.StatusStale while the endpoint is unreachable, so a monitor
-// degrades instead of dying with the thing it observes.
+// single multiplexed TCP connection is re-established transparently
+// after a failure, idempotent requests are retried with exponential
+// backoff and jitter, a circuit breaker fast-fails a persistently dead
+// endpoint, and — when enabled — Evaluate serves last-known values
+// tagged core.StatusStale while the endpoint is unreachable, so a
+// monitor degrades instead of dying with the thing it observes.
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -117,8 +118,9 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// Client queries a remote registry. It is safe for concurrent use; each
-// request/response pair is serialised on the single connection, which
+// Client queries a remote registry. It is safe for concurrent use: calls
+// from any number of goroutines share one connection, each request
+// tagged with an id its response comes back under, and the connection
 // is re-dialled transparently after transport failures.
 type Client struct {
 	addr    string
@@ -126,10 +128,11 @@ type Client struct {
 	meters  *meters
 	breaker *breaker
 
-	mu   sync.Mutex // serialises exchanges; guards conn, rd, rng
-	conn net.Conn
-	rd   *bufio.Reader
+	mu   sync.Mutex // guards conn and rng; held across a (re-)dial
+	conn *mconn     // nil, or possibly dead, until the next dial
 	rng  *rand.Rand
+
+	ids atomic.Uint64 // request ids, unique across this client's connections
 
 	// connGen counts connection establishments. Bulk sets record the
 	// generation they were bound on; a mismatch means the server-side
@@ -140,10 +143,15 @@ type Client struct {
 	bulkMu   sync.Mutex
 	bulkSets map[string]*BulkSet // EvaluateBulk's cache, keyed by joined names
 
-	// The spawn plane (spawn.go): the manager multiplexing in-flight
-	// spawn polls, and the idempotency-key source.
+	// The spawn plane (spawn.go): pending waits by key, acknowledgements
+	// not yet sent, the re-subscribe loop's state, and the
+	// idempotency-key source.
 	spawnMu    sync.Mutex
-	spawns     *spawnMgr
+	waits      map[string]*spawnWait
+	acks       []string
+	ackArmed   bool // a flushAcks is scheduled
+	resubbing  bool // the re-subscribe loop runs
+	resubAgain bool // a connection died since the loop last read the waits
 	spawnEpoch int64
 	spawnSeq   atomic.Int64
 
@@ -184,6 +192,7 @@ func DialContext(ctx context.Context, addr string, reg *core.Registry, locality 
 		breaker:    newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, gauge),
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		cache:      make(map[string]core.Value),
+		waits:      make(map[string]*spawnWait),
 		spawnEpoch: time.Now().UnixNano(),
 	}
 	dctx, cancel := c.attemptContext(ctx)
@@ -192,27 +201,21 @@ func DialContext(ctx context.Context, addr string, reg *core.Registry, locality 
 	if err != nil {
 		return nil, err
 	}
-	c.conn = conn
-	c.rd = bufio.NewReader(conn)
-	c.connGen.Add(1)
+	c.conn = c.start(conn)
 	return c, nil
 }
 
-// Close closes the connection; in-flight calls fail and future calls
-// return ErrClientClosed.
+// Close closes the connection; in-flight calls and pending spawn waits
+// fail, and future calls return ErrClientClosed.
 func (c *Client) Close() error {
 	c.closeMu.Lock()
 	c.closed = true
 	c.closeMu.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	c.rd = nil
-	return err
+	c.dropConnLocked()
+	c.mu.Unlock()
+	c.finish(SpawnStatus{Done: true, Err: ErrClientClosed}, anyWait)
+	return nil
 }
 
 func (c *Client) isClosed() bool {
@@ -237,19 +240,15 @@ func (c *Client) roundTrip(req request) (response, error) {
 }
 
 // roundTripContext performs one request/response exchange with
-// reconnect, retry (idempotent requests only), backoff and breaker.
+// reconnect, retry (idempotent requests only), backoff and breaker. The
+// request carries any queued spawn acknowledgements along.
 func (c *Client) roundTripContext(ctx context.Context, req request) (response, error) {
-	out, err := json.Marshal(req)
+	req.Acks = c.takeAcks()
+	body, err := json.Marshal(req)
 	if err != nil {
 		return response{}, err
 	}
-	out = append(out, '\n')
-	attempts := 1
-	if req.idempotent() {
-		attempts += c.opts.Retries
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return response{}, err
 		}
@@ -261,7 +260,7 @@ func (c *Client) roundTripContext(ctx context.Context, req request) (response, e
 			// open. Not counted as a transport error — nothing was sent.
 			return response{}, ErrCircuitOpen
 		}
-		resp, err := c.attempt(ctx, out)
+		resp, err := c.attempt(ctx, body)
 		if err == nil {
 			c.breaker.record(true)
 			if resp.Error != "" {
@@ -271,80 +270,227 @@ func (c *Client) roundTripContext(ctx context.Context, req request) (response, e
 			}
 			return resp, nil
 		}
-		lastErr = err
+		// The breaker already judged the failure where it happened: a
+		// failed dial or a dead connection counts once, not once per call
+		// it failed; a deadline missed on a live connection does not count.
 		c.meters.errors.Inc()
 		if isTimeout(err) {
 			c.meters.timeouts.Inc()
 		}
-		c.breaker.record(false)
 		if ctx.Err() != nil {
 			return response{}, ctx.Err()
 		}
-		if attempt+1 < attempts {
-			c.meters.retries.Inc()
-			if !c.backoff(ctx, attempt) {
-				return response{}, ctx.Err()
-			}
+		if attempt == c.opts.Retries || !req.idempotent() {
+			return response{}, err
+		}
+		c.meters.retries.Inc()
+		if !c.backoff(ctx, attempt) {
+			return response{}, ctx.Err()
 		}
 	}
-	return response{}, lastErr
 }
 
-// attempt performs exactly one exchange on the current connection,
-// dialling a fresh one if needed; any failure tears the connection down
-// so the next attempt starts clean.
-func (c *Client) attempt(ctx context.Context, frame []byte) (response, error) {
+// attempt performs exactly one exchange on the live connection, dialling
+// a fresh one if needed.
+func (c *Client) attempt(ctx context.Context, body []byte) (response, error) {
 	actx, cancel := c.attemptContext(ctx)
 	defer cancel()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
+	m := c.conn
+	if m == nil || !m.alive() {
 		if c.isClosed() {
+			c.mu.Unlock()
 			return response{}, ErrClientClosed
 		}
 		conn, err := c.opts.Dialer(actx, c.addr)
 		if err != nil {
 			// Typed: nothing was sent, so the request definitely did not
 			// execute — the spawn plane's licence to fail over.
+			c.mu.Unlock()
+			c.breaker.record(false)
 			return response{}, &DialError{Err: mapDeadline(ctx, err)}
 		}
-		c.conn = conn
-		c.rd = bufio.NewReader(conn)
-		c.connGen.Add(1)
+		m = c.start(conn)
+		c.conn = m
 	}
-	if dl, ok := actx.Deadline(); ok {
-		c.conn.SetDeadline(dl)
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	if _, err := c.conn.Write(frame); err != nil {
-		c.dropConnLocked()
-		return response{}, mapDeadline(ctx, err)
-	}
-	c.meters.sent.Inc()
-	c.meters.dataSent.Add(int64(len(frame)))
-	line, err := c.rd.ReadBytes('\n')
-	if err != nil {
-		c.dropConnLocked()
-		return response{}, mapDeadline(ctx, err)
-	}
-	c.meters.received.Inc()
-	c.meters.dataReceived.Add(int64(len(line)))
-	var resp response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		// A garbled response leaves the stream unframed; reconnect.
-		c.dropConnLocked()
-		return response{}, err
-	}
-	return resp, nil
+	c.mu.Unlock()
+	return m.call(ctx, actx, body)
 }
 
+// dropConnLocked tears the connection down; the next call re-dials.
 func (c *Client) dropConnLocked() {
 	if c.conn != nil {
-		c.conn.Close()
+		c.conn.fail(errConnClosed)
 		c.conn = nil
-		c.rd = nil
 	}
+}
+
+// Transport failures the multiplexed connection reports.
+var (
+	errConnClosed = errors.New("parcel: connection closed")
+	// errNoResponse is a call's own deadline miss; a timeout by isTimeout.
+	errNoResponse = fmt.Errorf("parcel: no response before the deadline: %w", os.ErrDeadlineExceeded)
+	// errConnStuck fails the other calls of a connection torn down
+	// because nothing arrived on it within a call's deadline.
+	errConnStuck = errors.New("parcel: connection torn down: silent past a call's deadline")
+)
+
+// mconn is one multiplexed connection: callers write tagged frames
+// through its coalescing writer and one reader goroutine routes each
+// answer to the call waiting on its id.
+type mconn struct {
+	c    *Client
+	conn net.Conn
+	w    *frameWriter
+
+	mu       sync.Mutex
+	calls    map[uint64]chan callResult // in flight; nil value: abandoned
+	lastRecv int64                      // unix nanos of the last frame received
+	err      error                      // set once the connection is dead
+}
+
+type callResult struct {
+	resp response
+	err  error
+}
+
+// start wraps a fresh connection and starts its reader.
+func (c *Client) start(conn net.Conn) *mconn {
+	m := &mconn{c: c, conn: conn, calls: make(map[uint64]chan callResult)}
+	m.w = newFrameWriter(conn, c.opts.Timeout, m.fail)
+	c.connGen.Add(1)
+	go m.readLoop()
+	return m
+}
+
+func (m *mconn) alive() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err == nil
+}
+
+// send writes one frame, counted before it is written; a connection
+// that cannot take it is dead.
+func (m *mconn) send(frame []byte) {
+	m.c.meters.sent.Inc()
+	m.c.meters.dataSent.Add(int64(len(frame)))
+	if err := m.w.write(frame); err != nil {
+		m.fail(err)
+	}
+}
+
+// call sends body under a fresh id and waits for its answer until actx
+// ends. A call that misses its deadline fails alone, unless nothing at
+// all has arrived on the connection since it was sent: then the
+// connection is presumed dead and torn down.
+func (m *mconn) call(ctx, actx context.Context, body []byte) (response, error) {
+	id := m.c.ids.Add(1)
+	ch := make(chan callResult, 1)
+	m.mu.Lock()
+	if m.err != nil {
+		m.mu.Unlock()
+		return response{}, &connError{m.err}
+	}
+	m.calls[id] = ch
+	m.mu.Unlock()
+	sent := time.Now().UnixNano()
+	m.send(tagFrame(body[:len(body):len(body)], id))
+	select {
+	case r := <-ch:
+		return r.resp, mapDeadline(ctx, r.err)
+	case <-actx.Done():
+	}
+	m.mu.Lock()
+	if _, ok := m.calls[id]; ok {
+		m.calls[id] = nil // a late answer is discarded
+	}
+	silent := m.lastRecv < sent
+	m.mu.Unlock()
+	if silent {
+		m.fail(errConnStuck)
+	}
+	select {
+	case r := <-ch: // the answer raced the deadline
+		return r.resp, mapDeadline(ctx, r.err)
+	default:
+		return response{}, mapDeadline(ctx, errNoResponse)
+	}
+}
+
+// readLoop receives frames until the connection dies.
+func (m *mconn) readLoop() {
+	rd := bufio.NewReader(m.conn)
+	for {
+		frame, err := rd.ReadBytes('\n')
+		if err == nil {
+			err = m.deliver(frame)
+		}
+		if err != nil {
+			m.fail(err)
+			return
+		}
+	}
+}
+
+// deliver routes one received frame: to the call waiting on its id, or,
+// tagged 0, to the spawn plane as a pushed completion. A frame that
+// cannot be attributed to an in-flight call breaks the connection.
+func (m *mconn) deliver(frame []byte) error {
+	m.c.meters.received.Inc()
+	m.c.meters.dataReceived.Add(int64(len(frame)))
+	body, id, ok := splitFrame(frame)
+	var resp response
+	if !ok || json.Unmarshal(body, &resp) != nil {
+		return &ProtocolError{Reason: "undecodable response frame"}
+	}
+	m.mu.Lock()
+	m.lastRecv = time.Now().UnixNano()
+	ch, inFlight := m.calls[id]
+	delete(m.calls, id)
+	m.mu.Unlock()
+	switch {
+	case id == 0 && resp.Spawn != nil:
+		m.c.resolve(*resp.Spawn)
+	case !inFlight:
+		return &ProtocolError{Reason: fmt.Sprintf("response for request %d, which is not in flight", id)}
+	case ch != nil:
+		resp.via = m
+		ch <- callResult{resp: resp}
+	}
+	return nil
+}
+
+// connError is the failure of a connection, as the calls in flight on
+// it see it.
+type connError struct{ err error }
+
+func (e *connError) Error() string { return e.err.Error() }
+func (e *connError) Unwrap() error { return e.err }
+
+// fail kills the connection once: every call in flight fails with err,
+// the breaker records one transport failure if any did, and the spawn
+// waits subscribed on the connection re-subscribe elsewhere.
+func (m *mconn) fail(err error) {
+	m.mu.Lock()
+	if m.err != nil {
+		m.mu.Unlock()
+		return
+	}
+	m.err = err
+	calls := m.calls
+	m.calls = nil
+	m.mu.Unlock()
+	m.w.stop(err)
+	m.conn.Close()
+	if len(calls) > 0 && err != errConnClosed {
+		m.c.breaker.record(false)
+	}
+	for _, ch := range calls {
+		if ch != nil {
+			ch <- callResult{err: &connError{err}}
+		}
+	}
+	m.c.resubscribe()
 }
 
 // backoff sleeps the exponential-backoff delay for the given attempt

@@ -1,8 +1,16 @@
 // Package parcel is the network transport of the reproduction: a small
-// TCP protocol (newline-delimited JSON parcels) that lets one process
-// query the performance counters of another — the paper's remote
-// counter access and the transport a distributed monitor (cmd/perfmon)
-// attaches through.
+// TCP protocol that lets one process query the performance counters of
+// another — the paper's remote counter access and the transport a
+// distributed monitor (cmd/perfmon) attaches through — and run actions
+// on it.
+//
+// Each parcel is one tagged frame: a JSON body, a space, the decimal
+// request id and a newline. Callers share a multiplexed connection: a
+// writer goroutine flushes the frames queued since its last write, and a
+// reader goroutine routes each answer to its caller by id. The server
+// answers fast ops in order and invocations out of order, and pushes
+// each spawn's completion, tagged 0, to the connection waiting on it, so
+// counter samples never queue behind remote work.
 //
 // The transport is built to be *non-fatal to the application it
 // observes* (docs/FAULTS.md): every remote call carries a deadline, the
@@ -17,17 +25,19 @@
 // expose /parcels{locality#L/total}/count/{sent,received,errors,
 // retries,timeouts}, /parcels{locality#L/total}/data/{sent,received}
 // and the client a /parcels{locality#L/total}/breaker/state gauge,
-// mirroring HPX's parcelport counter group. A monitor can watch the
-// monitor.
+// mirroring HPX's parcelport counter group, each frame counted before it
+// is written. A monitor can watch the monitor.
 package parcel
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +47,7 @@ import (
 
 // request is one parcel from client to server.
 type request struct {
-	Op      string          `json:"op"` // "evaluate", "evaluate_active", "discover", "types", "reset_active", "add_active", "invoke", "bind_bulk", "evaluate_bulk", "spawn", "spawn_poll", "spawn_cancel"
+	Op      string          `json:"op"` // "evaluate", "evaluate_active", "discover", "types", "reset_active", "add_active", "invoke", "bind_bulk", "evaluate_bulk", "spawn", "spawn_wait", "spawn_cancel", "tree_push", "tree_pull"
 	Name    string          `json:"name,omitempty"`
 	Pattern string          `json:"pattern,omitempty"`
 	Reset   bool            `json:"reset,omitempty"`
@@ -48,9 +58,10 @@ type request struct {
 
 	// Distributed-spawn fields (docs/FAULTS.md, "Remote spawn").
 	Key      string   `json:"key,omitempty"`       // spawn/spawn_cancel: per-spawn idempotency key
-	Keys     []string `json:"keys,omitempty"`      // spawn_poll: keys to report on
+	Keys     []string `json:"keys,omitempty"`      // spawn_wait: keys to report on and wait for
 	BudgetMS int64    `json:"budget_ms,omitempty"` // spawn: client's remaining deadline budget
-	WaitMS   int64    `json:"wait_ms,omitempty"`   // spawn_poll: server-side completion wait window
+	Wait     bool     `json:"wait,omitempty"`      // spawn: push the completion on this connection
+	Acks     []string `json:"acks,omitempty"`      // any frame: completions received, to release
 
 	// Aggregation-tree field (tree.go): tree_push carries one subtree
 	// digest from a child to its parent.
@@ -70,9 +81,9 @@ func (r request) idempotent() bool {
 		// bind_bulk only compiles a name set into per-connection state;
 		// re-binding after a lost response is harmless.
 		return true
-	case "spawn_poll", "spawn_cancel":
-		// Polling is a read; cancelling twice cancels once. Note "spawn"
-		// itself is NOT here: re-sending it is safe thanks to the
+	case "spawn_wait", "spawn_cancel":
+		// Waiting twice subscribes once; cancelling twice cancels once.
+		// Note "spawn" itself is NOT here: re-sending it is safe thanks to the
 		// server's idempotency-key dedupe table, but the retry is owned
 		// (and counted) by the spawn plane, not re-sent blindly by the
 		// transport.
@@ -98,15 +109,16 @@ type response struct {
 	Names  []string        `json:"names,omitempty"`
 	Infos  []core.Info     `json:"infos,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
-	SetID  int64           `json:"set_id,omitempty"`  // bind_bulk: id of the compiled set
-	Spawn  *spawnState     `json:"spawn,omitempty"`   // spawn/spawn_cancel: state of that spawn
-	Spawns []spawnState    `json:"spawns,omitempty"`  // spawn_poll: state per polled key
-	Tree   *TreeDigest     `json:"tree,omitempty"`    // tree_pull: the receiver's folded view
+	SetID  int64           `json:"set_id,omitempty"` // bind_bulk: id of the compiled set
+	Spawn  *spawnState     `json:"spawn,omitempty"`  // spawn/spawn_cancel/push: state of that spawn
+	Spawns []spawnState    `json:"spawns,omitempty"` // spawn_wait: state per key
+	Tree   *TreeDigest     `json:"tree,omitempty"`   // tree_pull: the receiver's folded view
+
+	via *mconn // client side: the connection the response arrived on
 }
 
 // Machine-readable error classes carried in response.Code, so clients
-// classify failures without string matching (legacy servers omit the
-// field and clients fall back to substring heuristics).
+// classify failures without string matching.
 const (
 	codeProtocol      = "protocol"       // malformed/oversized parcel
 	codeActionUnknown = "action_unknown" // no such action registered
@@ -203,12 +215,13 @@ type ServerOptions struct {
 	// discarded. Default 1 MiB.
 	MaxParcelSize int
 	// SpawnLease is the orphan threshold for remote spawns: a running
-	// spawn whose client has not touched it (spawn/poll/cancel) for this
-	// long is cancelled and counted orphaned. Default 30s; negative
-	// disables reaping.
+	// spawn that no open connection waits on, and whose client has not
+	// touched it (spawn/wait/cancel) for this long, is cancelled and
+	// counted orphaned. Default 30s; negative disables reaping.
 	SpawnLease time.Duration
 	// SpawnRetention is how long a completed spawn's result stays
-	// available for dedupe and late polls. Default 2m.
+	// available for dedupe and late waits when its client has not
+	// acknowledged receiving it. Default 2m.
 	SpawnRetention time.Duration
 	// MaxSpawnTasks bounds the spawn table (running + retained entries);
 	// further spawns are refused with codeSpawnLimit. Default 4096.
@@ -303,7 +316,7 @@ func NewServer(ln net.Listener, reg *core.Registry, locality int64, opts ServerO
 		s.baseCancel()
 		return nil, err
 	}
-	s.spawns = newSpawnTable(s.opts, orphaned)
+	s.spawns = newSpawnTable(s.opts, orphaned, func(cs *connState, resp response) { s.send(cs, 0, resp) })
 	s.wg.Add(1)
 	go s.acceptLoop()
 	s.wg.Add(1)
@@ -395,10 +408,110 @@ const (
 // reconnect); clients match on it to re-bind transparently.
 const errUnknownBulkSet = "parcel: unknown bulk set"
 
-// connState is the per-connection server state: compiled bulk sets and
-// a reused evaluation buffer. It lives and dies with one handler
-// goroutine, so no locking is needed.
+// tagFrame turns body into a tagged frame by appending a space, the
+// decimal id and a newline. The id trails the body so that a frame
+// damaged at its head still names its caller: the server answers an
+// undecodable body under the caller's id. Id 0 tags a frame nobody waits
+// on: a pushed spawn completion, or a client frame carrying only
+// acknowledgements, which the server does not answer.
+func tagFrame(body []byte, id uint64) []byte {
+	body = append(body, ' ')
+	body = strconv.AppendUint(body, id, 10)
+	return append(body, '\n')
+}
+
+// splitFrame separates a frame into its body and id; ok is false when
+// the frame carries no id tag.
+func splitFrame(frame []byte) (body []byte, id uint64, ok bool) {
+	frame = bytes.TrimSuffix(frame, []byte{'\n'})
+	i := bytes.LastIndexByte(frame, ' ')
+	if i < 0 {
+		return frame, 0, false
+	}
+	id, err := strconv.ParseUint(string(frame[i+1:]), 10, 64)
+	if err != nil {
+		return frame, 0, false
+	}
+	return frame[:i], id, true
+}
+
+// frameWriter writes whole frames onto one connection from a goroutine
+// of its own; the frames queued while it writes leave in one flush.
+type frameWriter struct {
+	conn    net.Conn
+	timeout time.Duration // per-write budget; <= 0 disables
+	failed  func(error)   // called once if a write fails
+	wake    chan struct{}
+
+	mu    sync.Mutex
+	queue []byte
+	err   error // sticky: the connection is unusable
+}
+
+func newFrameWriter(conn net.Conn, timeout time.Duration, failed func(error)) *frameWriter {
+	w := &frameWriter{conn: conn, timeout: timeout, failed: failed, wake: make(chan struct{}, 1)}
+	go w.run()
+	return w
+}
+
+// write queues frame; an error means the connection is unusable.
+func (w *frameWriter) write(frame []byte) error {
+	w.mu.Lock()
+	err := w.err
+	if err == nil {
+		w.queue = append(w.queue, frame...)
+	}
+	w.mu.Unlock()
+	w.poke()
+	return err
+}
+
+func (w *frameWriter) poke() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (w *frameWriter) run() {
+	var buf []byte
+	for range w.wake {
+		w.mu.Lock()
+		buf, w.queue = w.queue, buf[:0]
+		err := w.err
+		w.mu.Unlock()
+		if err != nil {
+			return
+		}
+		if len(buf) == 0 {
+			continue
+		}
+		if w.timeout > 0 {
+			w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+		}
+		if _, err := w.conn.Write(buf); err != nil {
+			w.stop(err)
+			w.failed(err)
+			return
+		}
+	}
+}
+
+// stop refuses further writes and ends the writer.
+func (w *frameWriter) stop(err error) {
+	w.mu.Lock()
+	if w.err == nil {
+		w.err = err
+	}
+	w.mu.Unlock()
+	w.poke()
+}
+
+// connState is the per-connection server state: its frame writer,
+// compiled bulk sets and a reused evaluation buffer. Only the handler
+// goroutine touches the bulk state, so it needs no lock.
 type connState struct {
+	w         *frameWriter
 	bulkSets  map[int64]*core.BindSet
 	nextSetID int64
 	bulkBuf   []core.Value
@@ -409,102 +522,105 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 	rd := bufio.NewReader(conn)
-	wr := bufio.NewWriter(conn)
-	st := &connState{}
+	// A failed write closes the connection, which ends this handler.
+	cs := &connState{w: newFrameWriter(conn, s.opts.WriteTimeout, func(error) { conn.Close() })}
+	defer cs.w.stop(net.ErrClosed)
+	// The spawns this connection waits on fall back to the lease rule.
+	defer s.spawns.unsubscribe(cs)
 	for {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 		}
-		line, err := readBoundedLine(rd, s.opts.MaxParcelSize)
-		var resp response
+		frame, err := readFrame(rd, s.opts.MaxParcelSize)
 		switch {
 		case err == nil:
 			s.meters.received.Inc()
-			s.meters.dataReceived.Add(int64(len(line)))
-			resp = s.processLine(line, st)
+			s.meters.dataReceived.Add(int64(len(frame)))
+			s.serve(cs, frame)
 		case errors.Is(err, ErrParcelTooLarge):
-			// The oversized line was drained; report and keep serving.
+			// Drained; its kept tail still names the caller.
 			s.meters.errors.Inc()
-			resp.Error = fmt.Sprintf("%s (%d bytes max)", ErrParcelTooLarge.Error(), s.opts.MaxParcelSize)
+			if _, id, ok := splitFrame(frame); !ok || id != 0 {
+				s.send(cs, id, response{Error: fmt.Sprintf("%s (%d bytes max)", ErrParcelTooLarge.Error(), s.opts.MaxParcelSize)})
+			}
 		default:
 			return // connection gone or idle deadline hit
 		}
-		out, err := json.Marshal(resp)
-		if err != nil {
-			out = []byte(`{"error":"parcel: response marshal failure"}`)
-		}
-		out = append(out, '\n')
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		if _, err := wr.Write(out); err != nil {
-			return
-		}
-		if err := wr.Flush(); err != nil {
-			return
-		}
-		s.meters.sent.Inc()
-		s.meters.dataSent.Add(int64(len(out)))
 	}
 }
 
-// readBoundedLine reads one newline-terminated request, refusing lines
-// over max bytes. On an oversized line it discards through the next
-// newline and returns ErrParcelTooLarge, leaving the stream aligned on
-// the following request.
-func readBoundedLine(rd *bufio.Reader, max int) ([]byte, error) {
+// serve runs one frame: its acknowledgements, then its op, answered
+// under the frame's id. A malformed frame gets a coded ProtocolError,
+// never a panic or a dead handler; an untagged one is answered under id
+// 0, which no client call waits on.
+func (s *Server) serve(cs *connState, frame []byte) {
+	body, id, tagged := splitFrame(frame)
+	var req request
+	err := json.Unmarshal(body, &req)
+	if err == nil && !tagged {
+		err = errors.New("frame carries no request id")
+	}
+	if err != nil {
+		s.meters.errors.Inc()
+		if !tagged || id != 0 {
+			perr := &ProtocolError{Reason: "malformed request: " + err.Error()}
+			s.send(cs, id, response{Error: perr.Error(), Code: codeProtocol})
+		}
+		return
+	}
+	s.spawns.release(req.Acks)
+	switch {
+	case id == 0: // acknowledgements only
+	case req.Op == "invoke":
+		// Off the handler, a slow action cannot hold the connection.
+		go func() { s.send(cs, id, s.invoke(req)) }()
+	default:
+		s.send(cs, id, s.dispatch(req, cs))
+	}
+}
+
+// send queues one response frame, counted before it is written.
+func (s *Server) send(cs *connState, id uint64, resp response) {
+	out, err := json.Marshal(resp)
+	if err != nil {
+		out = []byte(`{"error":"parcel: response marshal failure"}`)
+	}
+	frame := tagFrame(out, id)
+	s.meters.sent.Inc()
+	s.meters.dataSent.Add(int64(len(frame)))
+	cs.w.write(frame)
+}
+
+// frameTail is how much of an oversized frame readFrame keeps: its id.
+const frameTail = 24
+
+// readFrame reads one newline-terminated frame of at most max bytes. An
+// oversized frame is discarded through its newline, keeping the stream
+// aligned, and comes back as its tail only, with ErrParcelTooLarge.
+func readFrame(rd *bufio.Reader, max int) ([]byte, error) {
 	var buf []byte
+	n := 0
 	for {
 		chunk, err := rd.ReadSlice('\n')
+		n += len(chunk)
 		buf = append(buf, chunk...)
+		if n > max && len(buf) > frameTail {
+			buf = buf[:copy(buf, buf[len(buf)-frameTail:])]
+		}
 		switch {
-		case err == nil:
-			if len(buf) > max {
-				return nil, ErrParcelTooLarge
-			}
-			return buf, nil
 		case errors.Is(err, bufio.ErrBufferFull):
-			if len(buf) > max {
-				return nil, drainLine(rd)
-			}
-		default:
+			// keep reading
+		case err != nil:
 			return buf, err
-		}
-	}
-}
-
-// drainLine discards input through the next newline, then reports the
-// oversized parcel; a transport error while draining wins, since the
-// connection is unusable anyway.
-func drainLine(rd *bufio.Reader) error {
-	for {
-		_, err := rd.ReadSlice('\n')
-		switch {
-		case err == nil:
-			return ErrParcelTooLarge
-		case errors.Is(err, bufio.ErrBufferFull):
-			// keep draining
+		case n > max:
+			return buf, ErrParcelTooLarge
 		default:
-			return err
+			return buf, nil
 		}
 	}
 }
 
-// processLine decodes one request line and dispatches it — the server's
-// whole per-request decode path, factored out so FuzzParcelDecode can
-// drive it directly: malformed parcels must yield a ProtocolError
-// response, never a panic or a dead handler.
-func (s *Server) processLine(line []byte, st *connState) response {
-	var req request
-	if jerr := json.Unmarshal(line, &req); jerr != nil {
-		s.meters.errors.Inc()
-		perr := &ProtocolError{Reason: "malformed request: " + jerr.Error()}
-		return response{Error: perr.Error(), Code: codeProtocol}
-	}
-	return s.dispatch(req, st)
-}
-
-func (s *Server) dispatch(req request, st *connState) response {
+func (s *Server) dispatch(req request, cs *connState) response {
 	switch req.Op {
 	case "bind_bulk":
 		// Compile the named counters once for this connection; later
@@ -517,22 +633,22 @@ func (s *Server) dispatch(req request, st *connState) response {
 		if len(req.Names) > maxBulkNames {
 			return response{Error: fmt.Sprintf("parcel: bind_bulk limited to %d names", maxBulkNames)}
 		}
-		if st.bulkSets == nil {
-			st.bulkSets = make(map[int64]*core.BindSet)
+		if cs.bulkSets == nil {
+			cs.bulkSets = make(map[int64]*core.BindSet)
 		}
-		if len(st.bulkSets) >= maxBulkSetsPerConn {
+		if len(cs.bulkSets) >= maxBulkSetsPerConn {
 			return response{Error: fmt.Sprintf("parcel: at most %d bulk sets per connection", maxBulkSetsPerConn)}
 		}
-		st.nextSetID++
-		st.bulkSets[st.nextSetID] = s.reg.BindSetLenient(req.Names)
-		return response{SetID: st.nextSetID, Names: st.bulkSets[st.nextSetID].Names()}
+		cs.nextSetID++
+		cs.bulkSets[cs.nextSetID] = s.reg.BindSetLenient(req.Names)
+		return response{SetID: cs.nextSetID, Names: cs.bulkSets[cs.nextSetID].Names()}
 	case "evaluate_bulk":
-		set, ok := st.bulkSets[req.SetID]
+		set, ok := cs.bulkSets[req.SetID]
 		if !ok {
 			return response{Error: fmt.Sprintf("%s %d", errUnknownBulkSet, req.SetID)}
 		}
-		st.bulkBuf = set.EvaluateBatch(st.bulkBuf, req.Reset)
-		return response{Values: st.bulkBuf}
+		cs.bulkBuf = set.EvaluateBatch(cs.bulkBuf, req.Reset)
+		return response{Values: cs.bulkBuf}
 	case "evaluate":
 		v, err := s.reg.Evaluate(req.Name, req.Reset)
 		if err != nil {
@@ -565,9 +681,9 @@ func (s *Server) dispatch(req request, st *connState) response {
 	case "invoke":
 		return s.invoke(req)
 	case "spawn":
-		return s.spawn(req)
-	case "spawn_poll":
-		return s.spawnPoll(req)
+		return s.spawn(req, cs)
+	case "spawn_wait":
+		return s.spawnWait(req, cs)
 	case "spawn_cancel":
 		return s.spawnCancel(req)
 	case "tree_push":

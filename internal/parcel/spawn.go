@@ -12,21 +12,24 @@ package parcel
 //     bounded by the shipped budget,
 //   - cancelling the client side sends a best-effort spawn_cancel op and
 //     the server abandons the task,
-//   - tasks whose client stopped touching them past a lease are reaped
-//     as orphans (counted in /runtime{...}/remote/count/orphaned).
+//   - tasks that no connection waits on and whose client stopped
+//     touching them past a lease are reaped as orphans (counted in
+//     /runtime{...}/remote/count/orphaned).
 //
-// Completion is observed by polling, but not one round trip per future:
-// each Client runs a single spawn manager goroutine that folds every
-// pending key into one spawn_poll op per tick, the same
-// one-exchange-per-sample shape the bulk counter plane uses.
+// Completion is pushed, not polled: a connection that waits on a spawn
+// (spawn with wait set, or spawn_wait) gets its terminal state in a
+// frame tagged 0 the moment it completes. The client acknowledges each
+// completion it receives on its next frame, and the server then drops
+// the entry at once instead of keeping it for SpawnRetention.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -47,62 +50,29 @@ const (
 	spawnDone    = "done"
 )
 
-// maxSpawnWait caps the server-side spawn_poll completion wait so a
-// poll can never hold a handler (and the client's serialised
-// connection) hostage.
-const maxSpawnWait = 2 * time.Second
-
-// maxSpawnPollKeys bounds one spawn_poll's key list, mirroring
-// maxBulkNames.
-const maxSpawnPollKeys = 4096
-
 // ---------------------------------------------------------------------------
 // Server side: the keyed task table.
 
-// spawnTask is one remote spawn living in the server's table.
+// spawnTask is one remote spawn living in the server's table. Every
+// field below cancel is guarded by the table's mutex.
 type spawnTask struct {
-	key    string
-	action string
 	cancel context.CancelFunc
-	done   chan struct{}
 
-	// Written exactly once (completeOnce) before done closes.
-	completeOnce sync.Once
-	result       json.RawMessage
-	errMsg       string
-	errCode      string
-
-	lastTouch atomic.Int64 // unix nanos of the client's last spawn/poll/cancel
-	doneAt    atomic.Int64 // unix nanos of completion; 0 while running
-	orphaned  atomic.Bool
+	st        spawnState   // its wire state
+	doneAt    int64        // unix nanos of completion; 0 while running
+	lastTouch int64        // unix nanos of the client's last spawn/wait/cancel
+	subs      []*connState // connections waiting on the completion
+	orphaned  bool
 }
 
-func (t *spawnTask) running() bool { return t.doneAt.Load() == 0 }
-
-// complete resolves the task once; later calls (a cancelled action body
-// returning after the reaper force-completed it) are no-ops.
-func (t *spawnTask) complete(result json.RawMessage, errMsg, errCode string) {
-	t.completeOnce.Do(func() {
-		t.result = result
-		t.errMsg = errMsg
-		t.errCode = errCode
-		t.doneAt.Store(time.Now().UnixNano())
-		close(t.done)
-	})
-}
-
-// state snapshots the task for the wire.
-func (t *spawnTask) state() spawnState {
-	st := spawnState{Key: t.key, Action: t.action, State: spawnRunning}
-	select {
-	case <-t.done:
-		st.State = spawnDone
-		st.Result = t.result
-		st.Error = t.errMsg
-		st.Code = t.errCode
-	default:
+// watchLocked snapshots the task and, while it runs, subscribes cs to
+// its completion. Snapshot and subscription are atomic against complete,
+// so exactly one of them carries the terminal state to cs.
+func (t *spawnTask) watchLocked(cs *connState) spawnState {
+	if t.doneAt == 0 && !slices.Contains(t.subs, cs) {
+		t.subs = append(t.subs, cs)
 	}
-	return st
+	return t.st
 }
 
 // spawnTable is the server-level spawn state: alive across connections
@@ -111,47 +81,62 @@ func (t *spawnTask) state() spawnState {
 type spawnTable struct {
 	opts     ServerOptions
 	orphaned *core.RawCounter
+	push     func(*connState, response) // sends a completion frame
 
 	mu    sync.Mutex
 	tasks map[string]*spawnTask
-	// completedCh is closed and replaced whenever any task completes —
-	// the broadcast spawn_poll waits on.
-	completedCh chan struct{}
 }
 
-func newSpawnTable(opts ServerOptions, orphaned *core.RawCounter) *spawnTable {
-	return &spawnTable{
-		opts:        opts,
-		orphaned:    orphaned,
-		tasks:       make(map[string]*spawnTask),
-		completedCh: make(chan struct{}),
+func newSpawnTable(opts ServerOptions, orphaned *core.RawCounter, push func(*connState, response)) *spawnTable {
+	return &spawnTable{opts: opts, orphaned: orphaned, push: push, tasks: make(map[string]*spawnTask)}
+}
+
+// complete resolves t once and pushes its state to every waiting
+// connection; later calls (a cancelled action body returning after the
+// reaper force-completed it) are no-ops.
+func (tb *spawnTable) complete(t *spawnTask, result json.RawMessage, errMsg, errCode string) {
+	tb.mu.Lock()
+	if t.doneAt != 0 {
+		tb.mu.Unlock()
+		return
+	}
+	t.st.State, t.st.Result, t.st.Error, t.st.Code = spawnDone, result, errMsg, errCode
+	t.doneAt = time.Now().UnixNano()
+	st := t.st
+	subs := t.subs
+	t.subs = nil
+	tb.mu.Unlock()
+	for _, cs := range subs {
+		tb.push(cs, response{Spawn: &st})
 	}
 }
 
-// lookup returns the task for key, refreshing its lease.
-func (tb *spawnTable) lookup(key string) *spawnTask {
-	tb.mu.Lock()
-	t := tb.tasks[key]
-	tb.mu.Unlock()
-	if t != nil {
-		t.lastTouch.Store(time.Now().UnixNano())
-	}
-	return t
-}
-
-// notifyCompleted wakes every poller blocked on any key.
-func (tb *spawnTable) notifyCompleted() {
-	tb.mu.Lock()
-	close(tb.completedCh)
-	tb.completedCh = make(chan struct{})
-	tb.mu.Unlock()
-}
-
-// waitCh returns the current broadcast channel.
-func (tb *spawnTable) waitCh() <-chan struct{} {
+// unsubscribe drops a closing connection's waits. A running spawn it
+// waited on counts as touched now and falls back to the lease rule.
+func (tb *spawnTable) unsubscribe(cs *connState) {
+	now := time.Now().UnixNano()
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	return tb.completedCh
+	for _, t := range tb.tasks {
+		if i := slices.Index(t.subs, cs); i >= 0 {
+			t.subs = slices.Delete(t.subs, i, i+1)
+			t.lastTouch = now
+		}
+	}
+}
+
+// release evicts the completed entries a client acknowledged receiving.
+func (tb *spawnTable) release(keys []string) {
+	if len(keys) == 0 {
+		return
+	}
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	for _, k := range keys {
+		if t := tb.tasks[k]; t != nil && t.doneAt != 0 {
+			delete(tb.tasks, k)
+		}
+	}
 }
 
 // reap is the orphan/retention sweep loop; it exits when closed closes.
@@ -182,32 +167,32 @@ func (tb *spawnTable) sweep(now time.Time) {
 	var orphans []*spawnTask
 	tb.mu.Lock()
 	for key, t := range tb.tasks {
-		if t.running() {
-			if tb.opts.SpawnLease > 0 && now.UnixNano()-t.lastTouch.Load() > int64(tb.opts.SpawnLease) {
+		if t.doneAt == 0 {
+			if tb.opts.SpawnLease > 0 && len(t.subs) == 0 && !t.orphaned &&
+				now.UnixNano()-t.lastTouch > int64(tb.opts.SpawnLease) {
+				t.orphaned = true
 				orphans = append(orphans, t)
 			}
 			continue
 		}
-		if now.UnixNano()-t.doneAt.Load() > int64(tb.opts.SpawnRetention) {
+		if now.UnixNano()-t.doneAt > int64(tb.opts.SpawnRetention) {
 			delete(tb.tasks, key)
 		}
 	}
 	tb.mu.Unlock()
 	for _, t := range orphans {
-		if t.orphaned.CompareAndSwap(false, true) {
-			tb.orphaned.Inc()
-			t.cancel()
-			// Force-complete so a non-cooperative action body cannot keep
-			// the entry "running" (and re-orphanable) forever; if the body
-			// later returns, its complete() is a no-op.
-			t.complete(nil, "parcel: spawn orphaned: client lease expired", codeCancelled)
-			tb.notifyCompleted()
-		}
+		tb.orphaned.Inc()
+		t.cancel()
+		// Force-complete so a non-cooperative action body cannot keep the
+		// entry "running" forever; if the body later returns, its
+		// complete is a no-op.
+		tb.complete(t, nil, "parcel: spawn orphaned: client lease expired", codeCancelled)
 	}
 }
 
-// spawn handles the spawn op: dedupe by key, or admit and launch.
-func (s *Server) spawn(req request) response {
+// spawn handles the spawn op: dedupe by key, or admit and launch; with
+// Wait set, cs also waits on the completion.
+func (s *Server) spawn(req request, cs *connState) response {
 	if req.Key == "" {
 		return response{Error: "parcel: spawn needs an idempotency key", Code: codeProtocol}
 	}
@@ -222,110 +207,82 @@ func (s *Server) spawn(req request) response {
 
 	tb := s.spawns
 	tb.mu.Lock()
-	if t := tb.tasks[req.Key]; t != nil {
-		// Dedupe: the retried spawn of a non-idempotent action observes
-		// the one existing execution instead of starting a second.
-		tb.mu.Unlock()
-		t.lastTouch.Store(time.Now().UnixNano())
-		st := t.state()
-		return response{Spawn: &st}
-	}
-	if len(tb.tasks) >= tb.opts.MaxSpawnTasks {
-		tb.mu.Unlock()
-		return response{Error: fmt.Sprintf("parcel: spawn table full (%d tasks)", tb.opts.MaxSpawnTasks), Code: codeSpawnLimit}
-	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if req.BudgetMS > 0 {
-		// Deadline propagation: the client shipped its remaining budget;
-		// the action runs under it even if the client dies.
-		ctx, cancel = context.WithTimeout(s.baseCtx, time.Duration(req.BudgetMS)*time.Millisecond)
-	} else {
-		ctx, cancel = context.WithCancel(s.baseCtx)
-	}
-	t := &spawnTask{key: req.Key, action: req.Action, cancel: cancel, done: make(chan struct{})}
-	t.lastTouch.Store(time.Now().UnixNano())
-	tb.tasks[req.Key] = t
-	tb.mu.Unlock()
-
-	// The action body runs off the handler goroutine so the connection
-	// stays responsive (polls, cancels, other spawns). Not on s.wg: a
-	// stuck body must not wedge Close — its scope dies with baseCtx.
-	go func() {
-		defer cancel()
-		result, err := runAction(ctx, req.Action, fn, req.Arg)
-		switch {
-		case err == nil:
-			t.complete(result, "", "")
-		case ctx.Err() != nil:
-			t.complete(nil, "parcel: spawn cancelled: "+ctx.Err().Error(), codeCancelled)
-		default:
-			code := codeActionError
-			var pe *actionPanicError
-			if errors.As(err, &pe) {
-				code = codeActionPanic
-			}
-			t.complete(nil, err.Error(), code)
+	defer tb.mu.Unlock()
+	// A key already in the table dedupes: the retried spawn of a
+	// non-idempotent action observes the one existing execution instead
+	// of starting a second.
+	t := tb.tasks[req.Key]
+	if t == nil {
+		if len(tb.tasks) >= tb.opts.MaxSpawnTasks {
+			return response{Error: fmt.Sprintf("parcel: spawn table full (%d tasks)", tb.opts.MaxSpawnTasks), Code: codeSpawnLimit}
 		}
-		tb.notifyCompleted()
-	}()
-	st := t.state()
+		var ctx context.Context
+		var cancel context.CancelFunc
+		if req.BudgetMS > 0 {
+			// Deadline propagation: the client shipped its remaining
+			// budget; the action runs under it even if the client dies.
+			ctx, cancel = context.WithTimeout(s.baseCtx, time.Duration(req.BudgetMS)*time.Millisecond)
+		} else {
+			ctx, cancel = context.WithCancel(s.baseCtx)
+		}
+		t = &spawnTask{cancel: cancel, st: spawnState{Key: req.Key, Action: req.Action, State: spawnRunning}}
+		tb.tasks[req.Key] = t
+		go s.runSpawn(ctx, t, fn, req.Arg)
+	}
+	t.lastTouch = time.Now().UnixNano()
+	st := t.st
+	if req.Wait {
+		st = t.watchLocked(cs)
+	}
 	return response{Spawn: &st}
 }
 
-// spawnPoll handles the spawn_poll op: report the state of every listed
-// key, waiting up to WaitMS (capped) for at least one of the running
-// ones to complete first.
-func (s *Server) spawnPoll(req request) response {
+// runSpawn executes one admitted action body and completes its entry.
+// It runs off the handler so the connection stays responsive, and not
+// on s.wg: a stuck body must not wedge Close — its scope dies with
+// baseCtx.
+func (s *Server) runSpawn(ctx context.Context, t *spawnTask, fn ActionCtxFunc, arg json.RawMessage) {
+	defer t.cancel()
+	result, err := runAction(ctx, t.st.Action, fn, arg)
+	switch {
+	case err == nil:
+		s.spawns.complete(t, result, "", "")
+	case ctx.Err() != nil:
+		s.spawns.complete(t, nil, "parcel: spawn cancelled: "+ctx.Err().Error(), codeCancelled)
+	default:
+		code := codeActionError
+		var pe *actionPanicError
+		if errors.As(err, &pe) {
+			code = codeActionPanic
+		}
+		s.spawns.complete(t, nil, err.Error(), code)
+	}
+}
+
+// spawnWait handles the spawn_wait op without blocking: it reports the
+// state of every listed key and subscribes cs to the completion of each
+// running one. It is also how a client re-subscribes its pending waits
+// after a reconnect.
+func (s *Server) spawnWait(req request, cs *connState) response {
 	if len(req.Keys) == 0 {
-		return response{Error: "parcel: spawn_poll needs at least one key", Code: codeProtocol}
+		return response{Error: "parcel: spawn_wait needs at least one key", Code: codeProtocol}
 	}
-	if len(req.Keys) > maxSpawnPollKeys {
-		return response{Error: fmt.Sprintf("parcel: spawn_poll limited to %d keys", maxSpawnPollKeys), Code: codeProtocol}
+	states := make([]spawnState, len(req.Keys))
+	now := time.Now().UnixNano()
+	tb := s.spawns
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	for i, key := range req.Keys {
+		t := tb.tasks[key]
+		if t == nil {
+			states[i] = spawnState{Key: key, State: spawnDone,
+				Error: "parcel: no spawn with key " + key, Code: codeSpawnUnknown}
+			continue
+		}
+		t.lastTouch = now
+		states[i] = t.watchLocked(cs)
 	}
-	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait > maxSpawnWait {
-		wait = maxSpawnWait
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		states := make([]spawnState, len(req.Keys))
-		anyDone := false
-		ch := s.spawns.waitCh()
-		for i, key := range req.Keys {
-			t := s.spawns.lookup(key)
-			if t == nil {
-				states[i] = spawnState{Key: key, State: spawnDone,
-					Error: "parcel: no spawn with key " + key, Code: codeSpawnUnknown}
-				anyDone = true
-				continue
-			}
-			states[i] = t.state()
-			if states[i].State == spawnDone {
-				anyDone = true
-			}
-		}
-		remaining := time.Until(deadline)
-		if anyDone || remaining <= 0 {
-			return response{Spawns: states}
-		}
-		// Nothing resolved yet: block on the table-wide completion
-		// broadcast (or the wait budget) and re-examine. The channel was
-		// captured before the scan, so a completion between scan and wait
-		// is not lost.
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-		case <-timer.C:
-		case <-s.closed:
-		}
-		timer.Stop()
-		select {
-		case <-s.closed:
-			return response{Spawns: states}
-		default:
-		}
-	}
+	return response{Spawns: states}
 }
 
 // spawnCancel handles the spawn_cancel op — best-effort, idempotent.
@@ -333,14 +290,19 @@ func (s *Server) spawnCancel(req request) response {
 	if req.Key == "" {
 		return response{Error: "parcel: spawn_cancel needs a key", Code: codeProtocol}
 	}
-	t := s.spawns.lookup(req.Key)
+	tb := s.spawns
+	tb.mu.Lock()
+	t := tb.tasks[req.Key]
+	tb.mu.Unlock()
 	if t == nil {
 		return response{Error: "parcel: no spawn with key " + req.Key, Code: codeSpawnUnknown}
 	}
 	t.cancel()
-	t.complete(nil, "parcel: spawn cancelled by client", codeCancelled)
-	s.spawns.notifyCompleted()
-	st := t.state()
+	tb.complete(t, nil, "parcel: spawn cancelled by client", codeCancelled)
+	tb.mu.Lock()
+	t.lastTouch = time.Now().UnixNano()
+	st := t.st
+	tb.mu.Unlock()
 	return response{Spawn: &st}
 }
 
@@ -356,7 +318,7 @@ var (
 	// ErrSpawnCancelled reports a spawn the server abandoned: client
 	// cancel op, shipped budget expiry, or orphan lease.
 	ErrSpawnCancelled = errors.New("parcel: remote spawn cancelled")
-	// ErrSpawnUnknown reports a poll/cancel for a key the server does not
+	// ErrSpawnUnknown reports a wait/cancel for a key the server does not
 	// hold — after a server restart or retention eviction. The spawn
 	// definitely is not running there; re-spawning under the same key is
 	// safe.
@@ -364,7 +326,7 @@ var (
 	// ErrSpawnLimit reports a refused spawn: the server's table is full.
 	ErrSpawnLimit = errors.New("parcel: spawn table full")
 	// ErrSpawnLost reports a spawn whose server became unreachable for
-	// longer than the client poller's patience; whether it ran is
+	// longer than the client's re-subscribe patience; whether it ran is
 	// unknowable from this side.
 	ErrSpawnLost = errors.New("parcel: spawn lost: server unreachable")
 )
@@ -448,43 +410,68 @@ func budgetMS(ctx context.Context) int64 {
 	return ms
 }
 
-// SpawnAction launches one remote spawn attempt under key. The request
-// is sent exactly once — the transport never blindly re-sends it — so a
-// transport error leaves the execution ambiguous and the caller decides:
-// re-issuing SpawnAction with the same key is always safe (the server
-// dedupes), which is how the spawn plane retries non-idempotent actions.
+// SpawnAction launches one remote spawn attempt under key without
+// waiting on it. The request is sent exactly once — the transport never
+// blindly re-sends it — so a transport error leaves the execution
+// ambiguous and the caller decides: re-issuing the spawn with the same
+// key is always safe (the server dedupes), which is how the spawn plane
+// retries non-idempotent actions.
 func (c *Client) SpawnAction(ctx context.Context, action string, arg json.RawMessage, key string) (SpawnStatus, error) {
-	resp, err := c.roundTripContext(ctx, request{
-		Op: "spawn", Action: action, Arg: arg, Key: key, BudgetMS: budgetMS(ctx),
-	})
-	if err != nil {
-		var se *ServerError
-		if errors.As(err, &se) {
-			return SpawnStatus{Done: true, Err: c.spawnErr(action, resp.Code, se.Msg)},
-				nil
-		}
-		return SpawnStatus{}, err
-	}
-	if resp.Spawn == nil {
-		return SpawnStatus{}, &ProtocolError{Reason: "spawn response carries no state"}
+	resp, err := c.spawn(ctx, action, arg, key, false)
+	if err != nil || resp.Spawn == nil {
+		return c.spawnFailed(action, resp, err)
 	}
 	return stateToStatus(c, action, *resp.Spawn), nil
 }
 
-// PollSpawns reports the state of every key in one round trip, letting
-// the server hold the request up to wait for a completion first.
-func (c *Client) PollSpawns(ctx context.Context, keys []string, wait time.Duration) (map[string]SpawnStatus, error) {
-	resp, err := c.roundTripContext(ctx, request{
-		Op: "spawn_poll", Keys: keys, WaitMS: wait.Milliseconds(),
+// SpawnWait is SpawnAction followed by a wait for the terminal state, in
+// one frame: the server pushes the completion on this connection. An
+// error is either SpawnAction's (the spawn op itself failed, execution
+// ambiguous) or ctx's, after a best-effort cancel of the remote task.
+func (c *Client) SpawnWait(ctx context.Context, action string, arg json.RawMessage, key string) (SpawnStatus, error) {
+	w := c.waitFor(key, false)
+	resp, err := c.spawn(ctx, action, arg, key, true)
+	if errors.As(err, new(*connError)) && ctx.Err() == nil {
+		// The connection died with the spawn in flight. The re-subscribe
+		// frame asks the next one whether it landed: if so, nothing was
+		// lost. If not, or if the endpoint is unreachable, the failure
+		// stays ambiguous — the frame may yet be read off the dead
+		// connection — and the caller retries the key.
+		c.spawnMu.Lock()
+		w.probe = true
+		c.spawnMu.Unlock()
+		c.resubscribe()
+		st, werr := c.await(ctx, key, w)
+		if werr != nil || !errors.Is(st.Err, ErrSpawnUnknown) && !errors.Is(st.Err, errProbeFailed) {
+			return st, werr
+		}
+		return SpawnStatus{}, err
+	}
+	if err != nil || resp.Spawn == nil {
+		c.unwait(key, w)
+		return c.spawnFailed(action, resp, err)
+	}
+	c.watched(*resp.Spawn, resp.via)
+	return c.await(ctx, key, w)
+}
+
+func (c *Client) spawn(ctx context.Context, action string, arg json.RawMessage, key string, wait bool) (response, error) {
+	return c.roundTripContext(ctx, request{
+		Op: "spawn", Action: action, Arg: arg, Key: key, BudgetMS: budgetMS(ctx), Wait: wait,
 	})
-	if err != nil {
-		return nil, err
+}
+
+// spawnFailed maps a spawn op that yielded no spawn state: a refusal
+// the server reported is a terminal status, anything else an error.
+func (c *Client) spawnFailed(action string, resp response, err error) (SpawnStatus, error) {
+	var se *ServerError
+	if errors.As(err, &se) {
+		return SpawnStatus{Done: true, Err: c.spawnErr(action, resp.Code, se.Msg)}, nil
 	}
-	out := make(map[string]SpawnStatus, len(resp.Spawns))
-	for _, st := range resp.Spawns {
-		out[st.Key] = stateToStatus(c, st.Action, st)
+	if err == nil {
+		err = &ProtocolError{Reason: "spawn response carries no state"}
 	}
-	return out, nil
+	return SpawnStatus{}, err
 }
 
 // CancelSpawn asks the server to abandon a spawn — best effort: an
@@ -500,151 +487,156 @@ func (c *Client) CancelSpawn(ctx context.Context, key string) error {
 }
 
 // ---------------------------------------------------------------------------
-// The spawn manager: one poll loop per client multiplexing every
-// pending spawn into a single spawn_poll per tick.
+// Waiting: a client's pending waits are subscribed on its one live
+// connection, and completions arrive as pushed frames.
 
-// spawnPollPatience is how many consecutive failed poll exchanges the
-// manager tolerates before declaring every pending spawn lost — the
-// never-hang backstop for futures waited on without any deadline.
-const spawnPollPatience = 50
+// spawnPatience is how long the client keeps trying to re-subscribe its
+// pending waits to an unreachable endpoint before they resolve
+// ErrSpawnLost — the never-hang backstop for waits without a deadline.
+const spawnPatience = 50 * 150 * time.Millisecond
 
-// spawnMgr tracks this client's in-flight spawns.
-type spawnMgr struct {
-	c *Client
+// ackDelay bounds how long a received completion's acknowledgement waits
+// for a request frame to ride on before it is sent in a frame of its own.
+const ackDelay = 10 * time.Millisecond
 
-	mu      sync.Mutex
-	pending map[string]chan SpawnStatus // key → 1-buffered delivery channel
-	running bool
-	pollErr int // consecutive failed poll exchanges
+// spawnWait is the pending wait on one key.
+type spawnWait struct {
+	ch chan SpawnStatus // delivers the terminal state once
+	// held: the server confirmed it holds the key. A held wait is
+	// re-subscribed after a reconnect, and for it the server's answer
+	// that it does not hold the key is final: otherwise the spawn may
+	// not have landed yet.
+	held bool
+	// probe: the spawn's frame was in flight on a connection that died.
+	// The next re-subscribe frame asks for the key, and the wait learns
+	// any answer, or errProbeFailed if that frame fails.
+	probe bool
 }
 
-func (c *Client) mgr() *spawnMgr {
+// errProbeFailed resolves probe waits when the re-subscribe frame fails.
+var errProbeFailed = errors.New("parcel: re-subscribe failed")
+
+func anyWait(*spawnWait) bool { return true }
+
+// waitFor registers the wait on key, replacing any earlier one.
+func (c *Client) waitFor(key string, held bool) *spawnWait {
+	w := &spawnWait{ch: make(chan SpawnStatus, 1), held: held}
+	c.spawnMu.Lock()
+	c.waits[key] = w
+	c.spawnMu.Unlock()
+	return w
+}
+
+// unwait abandons w; no delivery follows.
+func (c *Client) unwait(key string, w *spawnWait) {
+	c.spawnMu.Lock()
+	if c.waits[key] == w {
+		delete(c.waits, key)
+	}
+	c.spawnMu.Unlock()
+}
+
+// finish delivers st to every wait that matches.
+func (c *Client) finish(st SpawnStatus, match func(*spawnWait) bool) {
+	c.spawnMu.Lock()
+	var ws []*spawnWait
+	for k, w := range c.waits {
+		if match(w) {
+			ws = append(ws, w)
+			delete(c.waits, k)
+		}
+	}
+	c.spawnMu.Unlock()
+	for _, w := range ws {
+		w.ch <- st
+	}
+}
+
+// watched takes a spawn state the server answered on connection via: a
+// terminal one resolves the wait; a running one means the wait is now
+// subscribed there, and re-subscribes if via has died meanwhile (via is
+// nil when no connection answered).
+func (c *Client) watched(st spawnState, via *mconn) SpawnStatus {
+	if st.State == spawnDone {
+		return c.resolve(st)
+	}
+	c.spawnMu.Lock()
+	if w := c.waits[st.Key]; w != nil {
+		w.held = true
+	}
+	c.spawnMu.Unlock()
+	if via == nil || !via.alive() {
+		c.resubscribe()
+	}
+	return SpawnStatus{}
+}
+
+// resolve hands a terminal spawn state to the key's wait and queues its
+// acknowledgement, so the server can release the entry.
+func (c *Client) resolve(st spawnState) SpawnStatus {
+	status := stateToStatus(c, st.Action, st)
+	if !status.Done {
+		return status
+	}
+	unknown := st.Code == codeSpawnUnknown
+	c.spawnMu.Lock()
+	// An unknown key does not resolve a wait whose spawn may still land.
+	w := c.waits[st.Key]
+	if w != nil && (!unknown || w.held || w.probe) {
+		delete(c.waits, st.Key)
+	} else {
+		w = nil
+	}
+	if !unknown {
+		c.acks = append(c.acks, st.Key)
+		if !c.ackArmed {
+			c.ackArmed = true
+			time.AfterFunc(ackDelay, c.flushAcks)
+		}
+	}
+	c.spawnMu.Unlock()
+	if w != nil {
+		w.ch <- status
+	}
+	return status
+}
+
+// takeAcks hands the queued acknowledgements to a request frame.
+func (c *Client) takeAcks() []string {
 	c.spawnMu.Lock()
 	defer c.spawnMu.Unlock()
-	if c.spawns == nil {
-		c.spawns = &spawnMgr{c: c, pending: make(map[string]chan SpawnStatus)}
-	}
-	return c.spawns
+	acks := c.acks
+	c.acks = nil
+	return acks
 }
 
-// register enrols a key; the returned channel delivers its terminal
-// status exactly once. Starts the poll loop if it is not running.
-func (m *spawnMgr) register(key string) chan SpawnStatus {
-	ch := make(chan SpawnStatus, 1)
-	m.mu.Lock()
-	m.pending[key] = ch
-	if !m.running {
-		m.running = true
-		go m.loop()
-	}
-	m.mu.Unlock()
-	return ch
-}
-
-// deregister abandons a key (the waiter gave up); no delivery follows.
-func (m *spawnMgr) deregister(key string) {
-	m.mu.Lock()
-	delete(m.pending, key)
-	m.mu.Unlock()
-}
-
-// snapshot returns up to maxSpawnPollKeys pending keys.
-func (m *spawnMgr) snapshot() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]string, 0, len(m.pending))
-	for k := range m.pending {
-		if len(keys) == maxSpawnPollKeys {
-			break
-		}
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// deliver resolves one pending key.
-func (m *spawnMgr) deliver(key string, st SpawnStatus) {
-	m.mu.Lock()
-	ch := m.pending[key]
-	delete(m.pending, key)
-	m.mu.Unlock()
-	if ch != nil {
-		ch <- st
+// flushAcks sends the acknowledgements no request frame picked up, in a
+// frame tagged 0 that the server does not answer. With no live
+// connection they are dropped: the entries then expire by retention.
+func (c *Client) flushAcks() {
+	c.spawnMu.Lock()
+	c.ackArmed = false
+	c.spawnMu.Unlock()
+	c.mu.Lock()
+	m := c.conn
+	c.mu.Unlock()
+	if acks := c.takeAcks(); len(acks) > 0 && m != nil {
+		body, _ := json.Marshal(request{Acks: acks})
+		m.send(tagFrame(body, 0))
 	}
 }
 
-// loop polls while anything is pending, then parks (running=false).
-func (m *spawnMgr) loop() {
-	const pollWait = 150 * time.Millisecond
-	for {
-		keys := m.snapshot()
-		if len(keys) == 0 {
-			m.mu.Lock()
-			if len(m.pending) == 0 {
-				m.running = false
-				m.mu.Unlock()
-				return
-			}
-			m.mu.Unlock()
-			continue
-		}
-		if m.c.isClosed() {
-			for _, k := range keys {
-				m.deliver(k, SpawnStatus{Done: true, Err: ErrClientClosed})
-			}
-			continue
-		}
-		states, err := m.c.PollSpawns(context.Background(), keys, pollWait)
-		if err != nil {
-			m.mu.Lock()
-			m.pollErr++
-			exhausted := m.pollErr >= spawnPollPatience
-			m.mu.Unlock()
-			if exhausted {
-				// The endpoint has been unreachable for the whole patience
-				// window: every pending spawn resolves as lost rather than
-				// hanging a deadline-less waiter forever.
-				for _, k := range keys {
-					m.deliver(k, SpawnStatus{Done: true,
-						Err: fmt.Errorf("%w: %v", ErrSpawnLost, err)})
-				}
-				m.mu.Lock()
-				m.pollErr = 0
-				m.mu.Unlock()
-				continue
-			}
-			// Transient (or breaker-open fast-fail): pace the retry so an
-			// open breaker does not spin the loop.
-			time.Sleep(pollWait)
-			continue
-		}
-		m.mu.Lock()
-		m.pollErr = 0
-		m.mu.Unlock()
-		for key, st := range states {
-			if st.Done {
-				m.deliver(key, st)
-			}
-		}
-	}
-}
-
-// WaitSpawn waits for the spawn under key to reach a terminal state,
-// sharing the client's single multiplexed poll loop with every other
-// in-flight spawn. If ctx ends first, a best-effort cancel op is sent
-// and ctx's error returned. The wait itself can never hang: an endpoint
-// that stays unreachable resolves the status as ErrSpawnLost.
-func (c *Client) WaitSpawn(ctx context.Context, key string) (SpawnStatus, error) {
-	m := c.mgr()
-	ch := m.register(key)
+// await blocks until w resolves or ctx ends; in the latter case a
+// best-effort cancel op follows and ctx's error returns.
+func (c *Client) await(ctx context.Context, key string, w *spawnWait) (SpawnStatus, error) {
 	select {
-	case st := <-ch:
+	case st := <-w.ch:
 		return st, nil
 	case <-ctx.Done():
-		m.deregister(key)
-		// Drain a delivery that raced the deregistration.
+		c.unwait(key, w)
+		// Take a delivery that raced the unwait.
 		select {
-		case st := <-ch:
+		case st := <-w.ch:
 			return st, nil
 		default:
 		}
@@ -655,9 +647,102 @@ func (c *Client) WaitSpawn(ctx context.Context, key string) (SpawnStatus, error)
 	}
 }
 
+// subscribe sends one non-blocking spawn_wait frame for keys. The server
+// answers every key's current state — ErrSpawnUnknown for a key it does
+// not hold — and pushes the completion of each running one on this
+// connection.
+func (c *Client) subscribe(ctx context.Context, keys []string) (map[string]SpawnStatus, error) {
+	resp, err := c.roundTripContext(ctx, request{Op: "spawn_wait", Keys: keys})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]SpawnStatus, len(resp.Spawns))
+	for _, st := range resp.Spawns {
+		out[st.Key] = c.watched(st, resp.via)
+	}
+	return out, nil
+}
+
+// WaitSpawn waits for the spawn under key to reach a terminal state,
+// pushed by the server on this client's connection. If ctx ends first, a
+// best-effort cancel op is sent and ctx's error returned. The wait
+// itself can never hang: an endpoint that stays unreachable for
+// spawnPatience resolves the status as ErrSpawnLost.
+func (c *Client) WaitSpawn(ctx context.Context, key string) (SpawnStatus, error) {
+	w := c.waitFor(key, true) // the caller spawned it: an unknown key is final
+	if _, err := c.subscribe(ctx, []string{key}); err != nil && ctx.Err() == nil {
+		c.resubscribe() // keeps trying, within its patience
+	}
+	return c.await(ctx, key, w)
+}
+
+// resubscribe starts the re-subscribe loop unless it is running; a
+// running loop makes one more pass. It is called when a connection
+// dies, since the waits subscribed on it died too.
+func (c *Client) resubscribe() {
+	c.spawnMu.Lock()
+	c.resubAgain = true
+	start := !c.resubbing && len(c.waits) > 0
+	c.resubbing = c.resubbing || start
+	c.spawnMu.Unlock()
+	if start {
+		go c.resubscribeLoop()
+	}
+}
+
+// resubscribeLoop re-subscribes every held wait in one spawn_wait frame,
+// redialling within the breaker and with backoff, until that succeeds.
+// If the endpoint stays unreachable for spawnPatience, those waits
+// resolve ErrSpawnLost.
+func (c *Client) resubscribeLoop() {
+	var down time.Time // start of the current outage
+	for attempt := 0; ; attempt++ {
+		var keys []string
+		c.spawnMu.Lock()
+		for k, w := range c.waits {
+			if (w.held || w.probe) && c.resubAgain {
+				keys = append(keys, k)
+			}
+		}
+		c.resubAgain = false
+		c.resubbing = len(keys) > 0
+		c.spawnMu.Unlock()
+		if len(keys) == 0 {
+			return
+		}
+		if c.isClosed() {
+			c.finish(SpawnStatus{Done: true, Err: ErrClientClosed}, anyWait)
+			continue
+		}
+		ctx, cancel := c.attemptContext(context.Background())
+		_, err := c.subscribe(ctx, keys)
+		cancel()
+		if err == nil {
+			down, attempt = time.Time{}, -1
+			continue
+		}
+		c.spawnMu.Lock()
+		c.resubAgain = true
+		c.spawnMu.Unlock()
+		c.finish(SpawnStatus{Done: true, Err: errProbeFailed}, func(w *spawnWait) bool { return w.probe && !w.held })
+		if down.IsZero() {
+			down = time.Now()
+		}
+		if time.Since(down) >= spawnPatience {
+			c.finish(SpawnStatus{Done: true, Err: fmt.Errorf("%w: %v", ErrSpawnLost, err)},
+				func(w *spawnWait) bool { return w.held })
+			down, attempt = time.Time{}, -1
+			continue
+		}
+		c.backoff(context.Background(), attempt)
+	}
+}
+
 // spawnKey generates a client-unique idempotency key.
 func (c *Client) spawnKey() string {
-	return fmt.Sprintf("s%x-%x", c.spawnEpoch, c.spawnSeq.Add(1))
+	key := strconv.AppendInt([]byte{'s'}, c.spawnEpoch, 16)
+	key = append(key, '-')
+	return string(strconv.AppendInt(key, c.spawnSeq.Add(1), 16))
 }
 
 // spawnAttempts is how many times SpawnJSON re-issues a spawn whose
@@ -665,11 +750,12 @@ func (c *Client) spawnKey() string {
 const spawnAttempts = 3
 
 // SpawnJSON runs a remote action through the spawn plane end to end on
-// this client: spawn with a fresh idempotency key (retrying the same key
-// after ambiguous transport failures — the dedupe table makes that safe
-// for non-idempotent actions), deadline budget shipped from ctx, then a
-// multiplexed wait. Cancelling ctx cancels the remote task best-effort.
-// Unlike Invoke, a retried SpawnJSON never double-executes.
+// this client: spawn and wait with a fresh idempotency key (retrying the
+// same key after ambiguous transport failures — the dedupe table makes
+// that safe for non-idempotent actions), deadline budget shipped from
+// ctx, completion pushed by the server. Cancelling ctx cancels the
+// remote task best-effort. Unlike Invoke, a retried SpawnJSON never
+// double-executes.
 func (c *Client) SpawnJSON(ctx context.Context, action string, arg json.RawMessage) (json.RawMessage, error) {
 	key := c.spawnKey()
 	var lastErr error
@@ -677,20 +763,15 @@ func (c *Client) SpawnJSON(ctx context.Context, action string, arg json.RawMessa
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := c.SpawnAction(ctx, action, arg, key)
-		if err != nil {
-			lastErr = err
-			c.meters.retries.Inc()
-			continue
-		}
-		if st.Done {
+		st, err := c.SpawnWait(ctx, action, arg, key)
+		if err == nil {
 			return st.Result, st.Err
 		}
-		st, err = c.WaitSpawn(ctx, key)
-		if err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		return st.Result, st.Err
+		lastErr = err
+		c.meters.retries.Inc()
 	}
 	// Still ambiguous after every attempt: bound the server-side work.
 	cctx, cancel := context.WithTimeout(context.Background(), time.Second)

@@ -235,10 +235,10 @@ func TestSpawnOrphanReaped(t *testing.T) {
 }
 
 func TestSpawnTypedFailures(t *testing.T) {
-	// Completed entries stay in the table for the retention window (a
-	// retried key must find them), so the limit covers the two failed
-	// spawns below plus the stalling occupant.
-	actions, _, _, _, cli := newSpawnFixture(t, ServerOptions{MaxSpawnTasks: 3}, nil)
+	// The client acknowledges each completion it waited for, on its next
+	// frame, and the server releases the entry, so the limit of one
+	// covers only the stalling occupant below.
+	actions, _, _, _, cli := newSpawnFixture(t, ServerOptions{MaxSpawnTasks: 1}, nil)
 	if err := RegisterAction(actions, "fail", func(struct{}) (int, error) {
 		return 0, fmt.Errorf("deliberate failure")
 	}); err != nil {
@@ -293,8 +293,9 @@ func TestSpawnTypedFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Polling a key the server never admitted: typed ErrSpawnUnknown.
-	sts, err := cli.PollSpawns(ctx, []string{"never-was"}, 0)
+	// Subscribing to a key the server never admitted: typed
+	// ErrSpawnUnknown, answered by the re-subscribe frame.
+	sts, err := cli.subscribe(ctx, []string{"never-was"})
 	if err != nil {
 		t.Fatal(err)
 	}
